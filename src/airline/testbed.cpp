@@ -303,9 +303,10 @@ bool FleccTestbed::migrate_agent(std::size_t src, std::size_t spare) {
 void FleccTestbed::crash_directory() {
   if (dir_crashed_ || directory_ == nullptr) return;
   dir_crashed_ = true;
-  // Destroying the manager unbinds its endpoint and cancels its timers:
-  // every in-memory table dies, in-flight messages to it vanish, and
-  // only the durability store survives — minus its unflushed WAL tail.
+  // Destroying the manager unbinds its endpoint, which cancels every
+  // timer it owns: every in-memory table dies, in-flight messages to it
+  // vanish, and only the durability store survives — minus its
+  // unflushed WAL tail.
   directory_.reset();
   if (durability_ != nullptr) durability_->crash();
 }

@@ -116,7 +116,7 @@ void MulticastDirectory::on_message(const net::Message& m) {
 }
 
 void MulticastDirectory::finish_sync(PendingSync& ps) {
-  if (ps.timeout != net::kInvalidTimerId) fabric_.cancel_timer(ps.timeout);
+  fabric_.disarm(ps.timeout);
   auto it = agents_.find(ps.requester);
   if (it == agents_.end()) return;
   mc_msg::SyncReply reply;

@@ -82,7 +82,7 @@ void Peer::pump_ops() {
 }
 
 void Peer::finish_sync(PendingSync& ps) {
-  if (ps.timeout != net::kInvalidTimerId) fabric_.cancel_timer(ps.timeout);
+  fabric_.disarm(ps.timeout);
   if (ps.work) ps.work();
   // Publish this operation's update for the other peers.
   core::ObjectImage delta = adapter_.extract_update();

@@ -106,21 +106,8 @@ CacheManager::CacheManager(net::Fabric& fabric, net::Address self,
 }
 
 CacheManager::~CacheManager() {
-  if (trigger_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(trigger_timer_);
-  }
-  if (handoff_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(handoff_timer_);
-    handoff_timer_ = net::kInvalidTimerId;
-  }
-  cancel_op_timer();
-  if (register_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(register_timer_);
-    register_timer_ = net::kInvalidTimerId;
-  }
-  stop_heartbeats();
   fabric_.set_clock(self_, nullptr);
-  fabric_.unbind(self_);
+  fabric_.unbind(self_);  // cancels every timer this CM owns
 }
 
 // ---- public API ------------------------------------------------------------
@@ -215,11 +202,8 @@ void CacheManager::reconnect(Done done) {
     if (done) done();
     return;
   }
-  cancel_op_timer();
-  if (register_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(register_timer_);
-    register_timer_ = net::kInvalidTimerId;
-  }
+  fabric_.disarm(op_timer_);
+  fabric_.disarm(register_timer_);
   stop_heartbeats();
 
   // The in-flight op (if any) is re-issued under the new incarnation
@@ -333,23 +317,11 @@ void CacheManager::on_register_timeout() {
 void CacheManager::halt() {
   if (halted_) return;
   halted_ = true;
-  cancel_op_timer();
-  if (register_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(register_timer_);
-    register_timer_ = net::kInvalidTimerId;
-  }
-  stop_heartbeats();
-  if (trigger_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(trigger_timer_);
-    trigger_timer_ = net::kInvalidTimerId;
-  }
-  if (handoff_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(handoff_timer_);
-    handoff_timer_ = net::kInvalidTimerId;
-  }
   current_.reset();  // completions are deliberately NOT invoked
   queue_.clear();
   fabric_.set_clock(self_, nullptr);
+  // Unbinding cancels every timer owned by this address: the CM's own
+  // and its agent's think-time completions alike.
   fabric_.unbind(self_);
 }
 
@@ -393,7 +365,7 @@ void CacheManager::issue(Op& op) {
       return;
     }
     stats_.inc("breaker.deferred");
-    cancel_op_timer();
+    fabric_.disarm(op_timer_);
     op_timer_ =
         fabric_.schedule(self_, breaker_.retry_in(fabric_.now()), [this] {
           op_timer_ = net::kInvalidTimerId;
@@ -477,7 +449,7 @@ void CacheManager::issue(Op& op) {
                     obs::Role::kCacheManager, obs::agent_key(self_),
                     obs::span_id(self_, op.req), op_msg_type(op.kind),
                     op.attempts, op.image.has_value() ? 1 : 0);
-  cancel_op_timer();
+  fabric_.disarm(op_timer_);
   if (cfg_.retry.enabled()) {
     op_timer_ = fabric_.schedule(
         self_, cfg_.retry.timeout_for(op.attempts, retry_rng_),
@@ -517,7 +489,7 @@ void CacheManager::give_up_current(const char* why) {
                     obs::Role::kCacheManager, obs::agent_key(self_),
                     obs::span_id(self_, current_->req), why,
                     current_->attempts);
-  cancel_op_timer();
+  fabric_.disarm(op_timer_);
   Done done = std::move(current_->done);
   current_.reset();
   // After the reset: the breaker hook must not re-park the abandoned op.
@@ -544,7 +516,7 @@ void CacheManager::on_breaker_transition(flow::BreakerState from,
     // req id) and re-issues once the breaker admits traffic again.
     if (current_.has_value() && current_->kind != OpKind::kModeChange &&
         current_->kind != OpKind::kKill) {
-      cancel_op_timer();
+      fabric_.disarm(op_timer_);
       queue_.push_front(std::move(*current_));
       current_.reset();
     }
@@ -587,7 +559,7 @@ bool CacheManager::accept_reply(OpKind kind, std::uint64_t req) {
 }
 
 void CacheManager::complete_current() {
-  cancel_op_timer();
+  fabric_.disarm(op_timer_);
   // A served bulk request is proof the directory is healthy again; the
   // transition hook un-degrades (kClosed) if overload had demoted us.
   if (is_bulk(current_->kind)) breaker_.on_success();
@@ -599,13 +571,6 @@ void CacheManager::complete_current() {
   current_.reset();
   if (done) done();
   pump();
-}
-
-void CacheManager::cancel_op_timer() {
-  if (op_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(op_timer_);
-    op_timer_ = net::kInvalidTimerId;
-  }
 }
 
 ObjectImage CacheManager::extract_dirty() {
@@ -629,10 +594,7 @@ void CacheManager::start_heartbeats() {
 }
 
 void CacheManager::stop_heartbeats() {
-  if (heartbeat_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(heartbeat_timer_);
-    heartbeat_timer_ = net::kInvalidTimerId;
-  }
+  fabric_.disarm(heartbeat_timer_);
   heartbeat_unacked_ = 0;
 }
 
@@ -715,10 +677,7 @@ void CacheManager::on_message(const net::Message& m) {
       stats_.inc("msg.duplicate.dropped");
       return;
     }
-    if (register_timer_ != net::kInvalidTimerId) {
-      fabric_.cancel_timer(register_timer_);
-      register_timer_ = net::kInvalidTimerId;
-    }
+    fabric_.disarm(register_timer_);
     FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgReceived,
                       obs::Role::kCacheManager, obs::agent_key(self_),
                       obs::span_id(self_, register_req_), msg::kRegisterAck,
@@ -789,7 +748,7 @@ void CacheManager::on_message(const net::Message& m) {
     // tick toward failover while we politely back off. The overall
     // deadline (first_issued_at) still bounds the total wait.
     current_->attempts = 1;
-    cancel_op_timer();
+    fabric_.disarm(op_timer_);
     double delay = static_cast<double>(
         busy.retry_after > 0 ? busy.retry_after : cfg_.retry.base_timeout);
     if (cfg_.retry.jitter > 0.0) {
@@ -944,10 +903,7 @@ void CacheManager::on_message(const net::Message& m) {
       cfg_.journal->compact({});  // a killed view never resumes
       journal_appends_ = 0;
     }
-    if (trigger_timer_ != net::kInvalidTimerId) {
-      fabric_.cancel_timer(trigger_timer_);
-      trigger_timer_ = net::kInvalidTimerId;
-    }
+    fabric_.disarm(trigger_timer_);
     stop_heartbeats();
     // Any ops queued behind kill can never complete remotely.
     std::deque<Op> q = std::move(queue_);
@@ -1382,10 +1338,7 @@ void CacheManager::send_handoff() {
                     obs::span_id(self_, handoff_req_), msg::kHandoffState,
                     handoff_attempts_, handoff_dirty_ ? 1 : 0);
   send_dir(msg::kHandoffState, std::move(hs));
-  if (handoff_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(handoff_timer_);
-    handoff_timer_ = net::kInvalidTimerId;
-  }
+  fabric_.disarm(handoff_timer_);
   if (!cfg_.retry.enabled()) return;
   const sim::Duration delay =
       cfg_.retry.timeout_for(handoff_attempts_, retry_rng_);
@@ -1410,10 +1363,7 @@ void CacheManager::send_handoff() {
 
 void CacheManager::unseal_resume() {
   if (!sealed_) return;
-  if (handoff_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(handoff_timer_);
-    handoff_timer_ = net::kInvalidTimerId;
-  }
+  fabric_.disarm(handoff_timer_);
   sealed_ = false;
   move_requested_ = false;
   stats_.inc("migrate.resumed");
@@ -1503,14 +1453,8 @@ void CacheManager::handle_move_done(const net::Message& m) {
     handoff_image_ = ObjectImage{};
     handoff_echoes_.clear();
     unconfirmed_echoes_.clear();
-    if (handoff_timer_ != net::kInvalidTimerId) {
-      fabric_.cancel_timer(handoff_timer_);
-      handoff_timer_ = net::kInvalidTimerId;
-    }
-    if (trigger_timer_ != net::kInvalidTimerId) {
-      fabric_.cancel_timer(trigger_timer_);
-      trigger_timer_ = net::kInvalidTimerId;
-    }
+    fabric_.disarm(handoff_timer_);
+    fabric_.disarm(trigger_timer_);
     stop_heartbeats();
     if (cfg_.journal != nullptr) {
       cfg_.journal->compact({});
@@ -1544,10 +1488,7 @@ void CacheManager::handle_move_done(const net::Message& m) {
     valid_ = false;
     exclusive_ = false;
     dirty_ = false;
-    if (trigger_timer_ != net::kInvalidTimerId) {
-      fabric_.cancel_timer(trigger_timer_);
-      trigger_timer_ = net::kInvalidTimerId;
-    }
+    fabric_.disarm(trigger_timer_);
     stop_heartbeats();
     if (cfg_.journal != nullptr) {
       cfg_.journal->compact({});

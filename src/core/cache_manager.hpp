@@ -180,10 +180,11 @@ class CacheManager : public net::Endpoint {
   void set_intent(AccessIntent intent) noexcept { intent_ = intent; }
 
   /// Simulate a silent process crash (chaos testing): unbind from the
-  /// fabric, cancel every timer, drop all queued and in-flight work
-  /// without invoking completions, and ignore all future API calls and
-  /// messages. No teardown protocol runs — the directory discovers the
-  /// death only via liveness eviction or round timeouts.
+  /// fabric (which cancels every timer owned by this address, the
+  /// agent's think-time completions included), drop all queued and
+  /// in-flight work without invoking completions, and ignore all future
+  /// API calls and messages. No teardown protocol runs — the directory
+  /// discovers the death only via liveness eviction or round timeouts.
   void halt();
   [[nodiscard]] bool halted() const noexcept { return halted_; }
 
@@ -330,7 +331,6 @@ class CacheManager : public net::Endpoint {
   void issue(Op& op);
   bool accept_reply(OpKind kind, std::uint64_t req);
   void complete_current();
-  void cancel_op_timer();
   void on_op_timeout();
   /// RetryPolicy::deadline expired: abandon the in-flight op terminally
   /// (its completion still fires so callers never wedge).

@@ -136,23 +136,8 @@ DirectoryManager::DirectoryManager(net::Fabric& fabric, net::Address self,
 }
 
 DirectoryManager::~DirectoryManager() {
-  if (liveness_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(liveness_timer_);
-  }
-  for (auto& [view, mig] : migrations_) {
-    (void)view;
-    if (mig.resend_timer != net::kInvalidTimerId) {
-      fabric_.cancel_timer(mig.resend_timer);
-    }
-  }
-  if (rebuild_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(rebuild_timer_);
-  }
-  if (rebuild_resend_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(rebuild_resend_timer_);
-  }
   fabric_.set_clock(self_, nullptr);
-  fabric_.unbind(self_);
+  fabric_.unbind(self_);  // cancels every timer this DM owns
 }
 
 void DirectoryManager::on_message(const net::Message& m) {
@@ -755,10 +740,8 @@ void DirectoryManager::arm_pull_resend(std::uint64_t token) {
 }
 
 void DirectoryManager::finish_pull(PendingPull& pp) {
-  if (pp.timeout != net::kInvalidTimerId) fabric_.cancel_timer(pp.timeout);
-  if (pp.resend_timer != net::kInvalidTimerId) {
-    fabric_.cancel_timer(pp.resend_timer);
-  }
+  fabric_.disarm(pp.timeout);
+  fabric_.disarm(pp.resend_timer);
   auto* rec = find(pp.requester);
   if (rec == nullptr) return;  // requester died while we fetched
   msg::PullReply out;
@@ -1200,10 +1183,8 @@ void DirectoryManager::arm_acquire_resend(std::uint64_t epoch) {
 }
 
 void DirectoryManager::finish_acquire(PendingAcquire& pa) {
-  if (pa.timeout != net::kInvalidTimerId) fabric_.cancel_timer(pa.timeout);
-  if (pa.resend_timer != net::kInvalidTimerId) {
-    fabric_.cancel_timer(pa.resend_timer);
-  }
+  fabric_.disarm(pa.timeout);
+  fabric_.disarm(pa.resend_timer);
   auto* rec = find(pa.requester);
   if (rec == nullptr) return;
   rec->active = true;
@@ -1389,12 +1370,8 @@ void DirectoryManager::complete_fetch_or_acquire_for_dead_view(ViewId v) {
 
   if (acquire_inflight_.has_value()) {
     if (acquire_inflight_->requester == v) {
-      if (acquire_inflight_->timeout != net::kInvalidTimerId) {
-        fabric_.cancel_timer(acquire_inflight_->timeout);
-      }
-      if (acquire_inflight_->resend_timer != net::kInvalidTimerId) {
-        fabric_.cancel_timer(acquire_inflight_->resend_timer);
-      }
+      fabric_.disarm(acquire_inflight_->timeout);
+      fabric_.disarm(acquire_inflight_->resend_timer);
       // The requester died but invalidated views may already have
       // extracted; archive the round so their echoes still merge.
       PendingAcquire dead = std::move(*acquire_inflight_);
@@ -1507,9 +1484,7 @@ void DirectoryManager::abort_migration(ViewId v, const char* why) {
   if (it == migrations_.end()) return;
   PendingMigration mig = std::move(it->second);
   migrations_.erase(it);
-  if (mig.resend_timer != net::kInvalidTimerId) {
-    fabric_.cancel_timer(mig.resend_timer);
-  }
+  fabric_.disarm(mig.resend_timer);
   stats_.inc("migrate.aborted");
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMigrateAborted,
                     obs::Role::kDirectory, obs::agent_key(self_), 0, why,
@@ -1593,10 +1568,7 @@ void DirectoryManager::handle_handoff_state(const net::Message& m) {
   rec->mode = hs.mode;
   mig.phase = kMigrateHandoff;
   mig.resends_left = cfg_.migrate_resends;
-  if (mig.resend_timer != net::kInvalidTimerId) {
-    fabric_.cancel_timer(mig.resend_timer);
-    mig.resend_timer = net::kInvalidTimerId;
-  }
+  fabric_.disarm(mig.resend_timer);
   send_move_install(mig);
   arm_migrate_resend(hs.view);
   if (cfg_.on_migrate_phase) cfg_.on_migrate_phase(hs.view, kMigrateHandoff);
@@ -1612,9 +1584,7 @@ void DirectoryManager::handle_view_move_ack(const net::Message& m) {
   }
   PendingMigration mig = std::move(it->second);
   migrations_.erase(it);
-  if (mig.resend_timer != net::kInvalidTimerId) {
-    fabric_.cancel_timer(mig.resend_timer);
-  }
+  fabric_.disarm(mig.resend_timer);
   auto* rec = find(ack.view);
   if (rec == nullptr) {  // unreachable (eviction aborts), but be safe
     note_migration_outcome(ack.view, ack.epoch, true);
@@ -1968,14 +1938,8 @@ void DirectoryManager::handle_rebuild_reply(const net::Message& m) {
 void DirectoryManager::finish_rebuild() {
   if (!rebuilding_) return;
   rebuilding_ = false;
-  if (rebuild_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(rebuild_timer_);
-    rebuild_timer_ = net::kInvalidTimerId;
-  }
-  if (rebuild_resend_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(rebuild_resend_timer_);
-    rebuild_resend_timer_ = net::kInvalidTimerId;
-  }
+  fabric_.disarm(rebuild_timer_);
+  fabric_.disarm(rebuild_resend_timer_);
   const std::vector<ViewId> silent(rebuild_awaiting_.begin(),
                                    rebuild_awaiting_.end());
   rebuild_awaiting_.clear();

@@ -15,10 +15,7 @@ SyncAgent::SyncAgent(net::Fabric& fabric, net::Address self,
   fabric_.bind(self_, *this);
 }
 
-SyncAgent::~SyncAgent() {
-  stop();
-  fabric_.unbind(self_);
-}
+SyncAgent::~SyncAgent() { fabric_.unbind(self_); }
 
 void SyncAgent::start() {
   if (running_) return;
@@ -29,10 +26,7 @@ void SyncAgent::start() {
 
 void SyncAgent::stop() {
   running_ = false;
-  if (timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(timer_);
-    timer_ = net::kInvalidTimerId;
-  }
+  fabric_.disarm(timer_);
 }
 
 void SyncAgent::tick() {

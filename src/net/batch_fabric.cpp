@@ -13,22 +13,10 @@ BatchFabric::BatchFabric(Fabric& inner, Config cfg)
 
 BatchFabric::~BatchFabric() {
   // Pending batches die with the fabric, like any in-flight message at
-  // teardown. Terminal bindings are ours to release; pass-through
-  // endpoint bindings belong to their owners.
-  std::vector<TimerId> timers;
-  std::vector<NodeId> terminals;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [key, p] : pending_) {
-      if (p.timer != kInvalidTimerId) timers.push_back(p.timer);
-    }
-    pending_.clear();
-    buffered_ = 0;
-    terminals.assign(terminals_.begin(), terminals_.end());
-    terminals_.clear();
-  }
-  for (const TimerId t : timers) inner_.cancel_timer(t);
-  for (const NodeId n : terminals) inner_.unbind(Address{n, kBatchPort});
+  // teardown: unbinding a terminal cancels the flush timers it owns.
+  // Terminal bindings are ours to release; pass-through endpoint
+  // bindings belong to their owners.
+  for (const NodeId n : terminals_) inner_.unbind(Address{n, kBatchPort});
 }
 
 void BatchFabric::bind(const Address& addr, Endpoint& ep) {
@@ -65,6 +53,9 @@ void BatchFabric::ensure_terminal(NodeId node) {
 
 void BatchFabric::send(Address from, Address to, std::string type,
                        std::any payload, std::size_t bytes) {
+  // The sender node's terminal owns the train's flush timer, so the
+  // timer outlives any one sender's binding; bind it before arming.
+  ensure_terminal(from.node);
   const PendKey key{from.node, to.node};
   FlushReason why = FlushReason::kWindow;
   bool flush_now = false;
@@ -96,9 +87,9 @@ void BatchFabric::send(Address from, Address to, std::string type,
     } else if (p.timer == kInvalidTimerId) {
       // Plain (non-daemon) timer: a pending batch must hold a
       // run-to-quiescence simulation open until it is delivered.
-      p.timer = inner_.schedule(from, cfg_.batch_window, [this, key] {
-        flush(key, FlushReason::kWindow);
-      });
+      p.timer = inner_.schedule(
+          Address{from.node, kBatchPort}, cfg_.batch_window,
+          [this, key] { flush(key, FlushReason::kWindow); });
     }
   }
   if (flush_now) flush(key, why);
@@ -116,9 +107,7 @@ void BatchFabric::flush(PendKey key, FlushReason reason) {
     pending_.erase(it);
     buffered_ -= subs.size();
   }
-  if (timer != kInvalidTimerId && reason != FlushReason::kWindow) {
-    inner_.cancel_timer(timer);
-  }
+  if (reason != FlushReason::kWindow) inner_.disarm(timer);
   if (subs.empty()) return;
 
   sim::CounterSet& ctr = inner_.counters();

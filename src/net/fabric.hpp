@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "net/address.hpp"
 #include "net/message.hpp"
@@ -49,10 +50,15 @@ class Fabric {
   /// Rebinding an address after unbind() attaches the new endpoint in
   /// its place — directory crash-recovery relies on this (a restarted
   /// DirectoryManager rebinds its predecessor's address; messages that
-  /// raced the gap were dropped as "unbound").
+  /// raced the gap were dropped as "unbound"). The new binding starts
+  /// with no timers: nothing scheduled under the old one survives.
   virtual void bind(const Address& addr, Endpoint& ep) = 0;
 
-  /// Detach the endpoint at `addr`; in-flight messages to it are dropped.
+  /// Detach the endpoint at `addr` and cancel every pending timer
+  /// scheduled with `owner == addr` (plain and daemon alike), so an
+  /// endpoint's timers end with its binding and its teardown needs no
+  /// cancel list. In-flight messages to `addr` are not cancelled: they
+  /// are dropped at delivery and counted in `msg.dropped.unbound`.
   virtual void unbind(const Address& addr) = 0;
 
   /// Send a message. Never blocks; delivery is asynchronous.
@@ -60,6 +66,7 @@ class Fabric {
                     std::any payload, std::size_t bytes) = 0;
 
   /// Run `fn` after `delay`, serialized with `owner`'s message handlers.
+  /// The timer belongs to `owner`'s binding: unbind(owner) cancels it.
   virtual TimerId schedule(const Address& owner, sim::Duration delay,
                            std::function<void()> fn) = 0;
 
@@ -74,6 +81,13 @@ class Fabric {
 
   /// Cancel a pending timer; returns true if it had not fired yet.
   virtual bool cancel_timer(TimerId id) = 0;
+
+  /// Cancel `timer` if it is armed, then disarm it (kInvalidTimerId).
+  void disarm(TimerId& timer) {
+    if (timer != kInvalidTimerId) {
+      cancel_timer(std::exchange(timer, kInvalidTimerId));
+    }
+  }
 
   /// Register the Lamport clock of the endpoint at `addr` (obs causal
   /// tracing): sends from `addr` tick it into Message::clock, and

@@ -6,6 +6,15 @@
 
 namespace flecc::net {
 
+namespace {
+
+/// The simulator-level owner key of `addr` (a bijective packing).
+sim::Owner owner_key(const Address& addr) {
+  return (static_cast<sim::Owner>(addr.node) << 32) | addr.port;
+}
+
+}  // namespace
+
 SimFabric::SimFabric(sim::Simulator& simulator, Topology topology, Config cfg)
     : sim_(simulator),
       topology_(std::move(topology)),
@@ -21,7 +30,10 @@ void SimFabric::bind(const Address& addr, Endpoint& ep) {
   }
 }
 
-void SimFabric::unbind(const Address& addr) { endpoints_.erase(addr); }
+void SimFabric::unbind(const Address& addr) {
+  endpoints_.erase(addr);
+  sim_.cancel_owned(owner_key(addr));
+}
 
 void SimFabric::set_clock(const Address& addr, obs::CausalClock* clock) {
   if (clock == nullptr) {
@@ -201,16 +213,16 @@ bool SimFabric::partition_blocks(NodeId from, NodeId to) const {
 
 TimerId SimFabric::schedule(const Address& owner, sim::Duration delay,
                             std::function<void()> fn) {
-  // Under the single-threaded simulator no extra serialization per owner
-  // is needed; the owner address matters only for ThreadFabric.
-  (void)owner;
-  return sim_.schedule_after(delay, std::move(fn));
+  // The single-threaded simulator needs no per-owner serialization; the
+  // owner tag lets unbind() cancel the timer.
+  return sim_.schedule_after(delay, std::move(fn), /*daemon=*/false,
+                             owner_key(owner));
 }
 
 TimerId SimFabric::schedule_daemon(const Address& owner, sim::Duration delay,
                                    std::function<void()> fn) {
-  (void)owner;
-  return sim_.schedule_after(delay, std::move(fn), /*daemon=*/true);
+  return sim_.schedule_after(delay, std::move(fn), /*daemon=*/true,
+                             owner_key(owner));
 }
 
 bool SimFabric::cancel_timer(TimerId id) { return sim_.cancel(id); }

@@ -147,6 +147,16 @@ void ThreadFabric::unbind(const net::Address& addr) {
     mb = std::move(it->second);
     endpoints_.erase(it);
   }
+  {
+    // The endpoint's timers die with its binding. The scheduler resolves
+    // a due timer's mailbox under sched_mu_, so once this erase is done
+    // no timer of the old binding can reach a later bind of `addr`.
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    std::erase_if(timed_, [&addr](const auto& entry) {
+      return entry.second.id != net::kInvalidTimerId &&
+             entry.second.owner == addr;
+    });
+  }
   mb->stop();
 }
 
@@ -208,9 +218,8 @@ void ThreadFabric::note_idle_if_done() {
   }
 }
 
-void ThreadFabric::post_to(const net::Address& addr,
+void ThreadFabric::post_to(const std::shared_ptr<Mailbox>& mb,
                            std::function<void()> task) {
-  auto mb = lookup(addr);
   if (!mb) {
     count("task.dropped.unbound");
     note_idle_if_done();
@@ -317,10 +326,7 @@ net::TimerId ThreadFabric::schedule(const net::Address& owner,
     tt.id = next_timer_id_++;
   }
   const net::TimerId id = tt.id;
-  tt.fn = [this, owner, fn = std::move(fn)] {
-    inflight_.fetch_add(1);
-    post_to(owner, fn);
-  };
+  tt.fn = std::move(fn);
   enqueue_timed(std::move(tt));
   return id;
 }
@@ -361,8 +367,17 @@ void ThreadFabric::scheduler_loop() {
     }
     TimedTask task = std::move(timed_.begin()->second);
     timed_.erase(timed_.begin());
-    lock.unlock();
-    task.fn();
+    if (task.id == net::kInvalidTimerId) {  // a message delivery
+      lock.unlock();
+      task.fn();
+    } else {
+      // Resolve the owner's mailbox before releasing sched_mu_ (see
+      // unbind()), then run the timer on it like any handler.
+      std::shared_ptr<Mailbox> mb = lookup(task.owner);
+      lock.unlock();
+      inflight_.fetch_add(1);
+      post_to(mb, std::move(task.fn));
+    }
     lock.lock();
   }
 }

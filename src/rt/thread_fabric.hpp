@@ -112,7 +112,7 @@ class ThreadFabric : public net::Fabric {
   /// the per-endpoint mailbox. Dropped (with a counter) if unbound.
   void post(const net::Address& addr, std::function<void()> task) {
     inflight_.fetch_add(1);
-    post_to(addr, std::move(task));
+    post_to(lookup(addr), std::move(task));
   }
 
  private:
@@ -154,6 +154,9 @@ class ThreadFabric : public net::Fabric {
     std::thread thread_;
   };
 
+  /// A pending timer (id != kInvalidTimerId, runs on `owner`'s mailbox)
+  /// or a delayed message delivery (id == kInvalidTimerId, runs on the
+  /// scheduler thread).
   struct TimedTask {
     std::chrono::steady_clock::time_point due;
     net::TimerId id;
@@ -162,7 +165,9 @@ class ThreadFabric : public net::Fabric {
   };
 
   void scheduler_loop();
-  void post_to(const net::Address& addr, std::function<void()> task);
+  /// Queue `task` on `mb`, or count it dropped when `mb` is null.
+  void post_to(const std::shared_ptr<Mailbox>& mb,
+               std::function<void()> task);
   /// Registered Lamport clock of `addr`, or nullptr. The registry is
   /// mutex-guarded (sends run on many threads); the clock itself is
   /// atomic, so tick/observe need no further locking.
@@ -194,7 +199,6 @@ class ThreadFabric : public net::Fabric {
   std::mutex sched_mu_;
   std::condition_variable sched_cv_;
   std::multimap<std::chrono::steady_clock::time_point, TimedTask> timed_;
-  std::unordered_map<net::TimerId, bool> cancelled_;  // live timer ids
   net::TimerId next_timer_id_ = 1;
   bool stopping_ = false;
   std::thread scheduler_;

@@ -5,10 +5,11 @@
 
 namespace flecc::sim {
 
-EventId EventQueue::push(Time when, std::function<void()> fn, bool daemon) {
+EventId EventQueue::push(Time when, std::function<void()> fn, bool daemon,
+                         std::optional<Owner> owner) {
   const EventId id = next_id_++;
   heap_.push(Entry{when, next_seq_++, id, std::move(fn), daemon});
-  pending_.emplace(id, daemon);
+  pending_.emplace(id, Live{owner, daemon});
   if (!daemon) ++non_daemon_live_;
   return id;
 }
@@ -18,9 +19,17 @@ bool EventQueue::cancel(EventId id) {
   // reach the top (drop_dead_head).
   auto it = pending_.find(id);
   if (it == pending_.end()) return false;
-  if (!it->second) --non_daemon_live_;
+  if (!it->second.daemon) --non_daemon_live_;
   pending_.erase(it);
   return true;
+}
+
+void EventQueue::cancel_owned(Owner owner) {
+  std::erase_if(pending_, [this, owner](const auto& entry) {
+    if (entry.second.owner != owner) return false;
+    if (!entry.second.daemon) --non_daemon_live_;
+    return true;
+  });
 }
 
 Time EventQueue::next_time() const {

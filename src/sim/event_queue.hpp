@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -21,6 +22,11 @@ using EventId = std::uint64_t;
 /// Sentinel returned when no event exists.
 inline constexpr EventId kInvalidEventId = 0;
 
+/// Opaque key naming who scheduled an event (SimFabric packs the timer
+/// owner's address into it); cancel_owned() cancels all of one owner's
+/// live events at once.
+using Owner = std::uint64_t;
+
 /// Min-heap of timed callbacks with deterministic same-time ordering.
 ///
 /// Events may be marked *daemon*: recurring maintenance (trigger polls,
@@ -29,13 +35,19 @@ inline constexpr EventId kInvalidEventId = 0;
 /// simulator can stop once only daemons remain.
 class EventQueue {
  public:
-  /// Insert a callback to fire at absolute time `when`.
-  /// Returns a handle that can later be passed to `cancel`.
-  EventId push(Time when, std::function<void()> fn, bool daemon = false);
+  /// Insert a callback to fire at absolute time `when`, optionally
+  /// tagged with its `owner`. Returns a handle that can later be passed
+  /// to `cancel`.
+  EventId push(Time when, std::function<void()> fn, bool daemon = false,
+               std::optional<Owner> owner = std::nullopt);
 
   /// Cancel a pending event. Returns true if the event was still pending
   /// (i.e., not yet popped and not already cancelled).
   bool cancel(EventId id);
+
+  /// Cancel every pending event tagged with `owner`. A linear scan of
+  /// the live events — meant for rare teardown paths.
+  void cancel_owned(Owner owner);
 
   /// True if the given event is still pending.
   [[nodiscard]] bool pending(EventId id) const {
@@ -82,11 +94,17 @@ class EventQueue {
     }
   };
 
+  /// The per-event record of a pending id.
+  struct Live {
+    std::optional<Owner> owner;
+    bool daemon;
+  };
+
   // Pops heap entries whose ids are no longer pending (cancelled).
   void drop_dead_head() const;
 
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_map<EventId, bool> pending_;  // id -> daemon flag
+  std::unordered_map<EventId, Live> pending_;
   std::size_t non_daemon_live_ = 0;
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;  // 0 is kInvalidEventId

@@ -14,11 +14,11 @@ EventId Simulator::schedule_at(Time when, std::function<void()> fn,
 }
 
 EventId Simulator::schedule_after(Duration delay, std::function<void()> fn,
-                                  bool daemon) {
+                                  bool daemon, std::optional<Owner> owner) {
   if (delay < 0) {
     throw std::invalid_argument("Simulator::schedule_after: negative delay");
   }
-  return queue_.push(now_ + delay, std::move(fn), daemon);
+  return queue_.push(now_ + delay, std::move(fn), daemon, owner);
 }
 
 std::size_t Simulator::run() {

@@ -28,12 +28,17 @@ class Simulator {
   EventId schedule_at(Time when, std::function<void()> fn,
                       bool daemon = false);
 
-  /// Schedule `fn` after `delay` (must be >= 0).
+  /// Schedule `fn` after `delay` (must be >= 0). An `owner`-tagged
+  /// event is also cancelled by cancel_owned(owner).
   EventId schedule_after(Duration delay, std::function<void()> fn,
-                         bool daemon = false);
+                         bool daemon = false,
+                         std::optional<Owner> owner = std::nullopt);
 
   /// Cancel a pending event; returns true if it was still pending.
   bool cancel(EventId id) { return queue_.cancel(id); }
+
+  /// Cancel every pending event tagged with `owner`.
+  void cancel_owned(Owner owner) { queue_.cancel_owned(owner); }
 
   /// True if the event has neither run nor been cancelled.
   [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }

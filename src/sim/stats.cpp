@@ -168,10 +168,4 @@ std::string CounterSet::to_string() const {
   return os.str();
 }
 
-RunningStat TimeSeries::summarize() const {
-  RunningStat s;
-  for (const auto& p : points_) s.add(p.value);
-  return s;
-}
-
 }  // namespace flecc::sim

@@ -11,8 +11,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace flecc::sim {
 
 /// Streaming mean/variance/min/max (Welford's algorithm), plus a
@@ -160,31 +158,6 @@ class CounterSet {
 
  private:
   std::map<std::string, std::uint64_t, std::less<>> counters_;
-};
-
-/// A value sampled against simulated time.
-struct TimePoint {
-  Time at;
-  double value;
-};
-
-/// An append-only (time, value) series for plotting figure data.
-class TimeSeries {
- public:
-  void add(Time at, double value) { points_.push_back({at, value}); }
-  [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return points_.empty(); }
-  [[nodiscard]] const TimePoint& at(std::size_t i) const {
-    return points_.at(i);
-  }
-  [[nodiscard]] const std::vector<TimePoint>& points() const noexcept {
-    return points_;
-  }
-  [[nodiscard]] RunningStat summarize() const;
-  void clear() { points_.clear(); }
-
- private:
-  std::vector<TimePoint> points_;
 };
 
 }  // namespace flecc::sim

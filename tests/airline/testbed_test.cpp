@@ -98,6 +98,56 @@ TEST(FleccTestbedTest, DirectoryCrashRestartConvergesReservations) {
   EXPECT_GE(reserved, 12);    // no lost update (dups possible: WAL tail)
 }
 
+TEST(FleccTestbedTest, DirectoryCrashCancelsItsPullTimers) {
+  TestbedOptions opts;
+  opts.n_agents = 2;
+  opts.group_size = 2;
+  opts.validity_trigger = "false";  // every op pulls
+  opts.durable_directory = true;
+  opts.retry.base_timeout = sim::msec(100);
+  opts.retry.max_timeout = sim::msec(500);
+  opts.retry.max_attempts = 10;
+  FleccTestbed tb(opts);
+  tb.init_all_agents();
+  tb.crash_agent(1);  // never answers a fetch: the pull stays open
+  bool done = false;
+  tb.agent(0).reserve_once(tb.assignment().agent_flights[0][0], 1,
+                           /*pull_first=*/true, [&] { done = true; });
+  tb.run_until(tb.simulator().now() + sim::msec(20));
+  ASSERT_GE(tb.directory().stats().get("op.fetch.sent"), 1u);
+
+  // The fetch timeout and pull resend are armed; the crash must take
+  // them along, or they fire into the destroyed manager.
+  const std::size_t before = tb.simulator().pending_events();
+  tb.crash_directory();
+  EXPECT_LE(tb.simulator().pending_events() + 2, before);
+  tb.run_until(tb.simulator().now() + 2 * opts.dir_cfg.fetch_timeout);
+  tb.restart_directory();
+  tb.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(tb.agent(0).ops_completed(), 1u);
+  EXPECT_EQ(tb.directory().generation(), 2u);
+}
+
+TEST(FleccTestbedTest, HaltMidThinkNeverCompletesTheOp) {
+  TestbedOptions opts;
+  opts.n_agents = 1;
+  opts.group_size = 1;
+  opts.think_time = sim::msec(300);
+  FleccTestbed tb(opts);
+  tb.init_all_agents();
+  bool done = false;
+  tb.agent(0).reserve_once(tb.assignment().agent_flights[0][0], 1,
+                           /*pull_first=*/false, [&] { done = true; });
+  tb.run_until(tb.simulator().now() + sim::msec(100));  // mid-think
+  ASSERT_TRUE(tb.agent(0).cache().in_use());
+  const std::size_t completed = tb.agent(0).ops_completed();
+  tb.crash_agent(0);  // the think-time completion dies with the binding
+  tb.run();
+  EXPECT_EQ(tb.agent(0).ops_completed(), completed);
+  EXPECT_FALSE(done);
+}
+
 class ProtocolConservationTest : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(ProtocolConservationTest, NoReservationIsLost) {

@@ -149,6 +149,16 @@ TEST_F(P2pFixture, CrashedPeerTimesOut) {
   EXPECT_GE(peers[0]->stats().get("sync.timeout"), 1u);
 }
 
+TEST_F(P2pFixture, DestroyedPeerTakesItsSyncTimeoutAlong) {
+  fabric->unbind(net::Address{1, 1});  // peer 1 never answers
+  bool done = false;
+  peers[0]->do_operation([] {}, [&] { done = true; });  // timeout armed
+  peers[0].reset();  // unbinding cancels it: nothing fires into freed memory
+  sim.run();
+  EXPECT_FALSE(done);
+  EXPECT_LT(sim.now(), Peer::Config{}.sync_timeout);
+}
+
 TEST_F(P2pFixture, OperationsQueueFifo) {
   std::vector<int> order;
   peers[0]->do_operation([&] { order.push_back(1); }, {});

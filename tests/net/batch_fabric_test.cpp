@@ -170,6 +170,23 @@ TEST_F(Fixture, FlushAllDrainsPendingWithoutTimer) {
   lazy.unbind(b1);
 }
 
+TEST_F(Fixture, TrainSurvivesItsFirstSenderUnbinding) {
+  // The flush timer belongs to the sending node's terminal, not to the
+  // sender that happened to arm it: that sender going away inside the
+  // window must not strand the rest of the shared train.
+  Recorder ra1, ra2, rb1;
+  batch->bind(a1, ra1);
+  batch->bind(a2, ra2);
+  batch->bind(b1, rb1);
+  batch->send(a1, b1, "t.first", 1, 8);  // arms the train's flush timer
+  batch->send(a2, b1, "t.second", 2, 8);
+  batch->unbind(a1);
+  sim.run();
+  ASSERT_EQ(rb1.received.size(), 2u);
+  EXPECT_EQ(rb1.received[1].from, a2);
+  EXPECT_EQ(ctr("batch.flush.window"), 1u);
+}
+
 TEST(BatchFabricStandalone, FrameTraceEventsRoundTripThroughTraceIo) {
   // The fabric's obs buffer records drop events; under batching a lost
   // frame is one drop carrying the whole train. That event must survive

@@ -167,6 +167,53 @@ TEST_F(Fixture, TimersFireOnSchedule) {
   EXPECT_EQ(sim.now(), 500);
 }
 
+TEST_F(Fixture, UnbindCancelsOwnersTimersOnly) {
+  Recorder ra, rb;
+  fabric->bind(a, ra);
+  fabric->bind(b, rb);
+  int a_fired = 0;
+  int b_fired = 0;
+  fabric->schedule(a, 500, [&] { ++a_fired; });
+  fabric->schedule_daemon(a, 400, [&] { ++a_fired; });
+  fabric->schedule(b, 300, [&] { ++b_fired; });
+  fabric->schedule_daemon(b, 200, [&] { ++b_fired; });
+  fabric->send(b, a, "t.to_a", 0, 10);  // in flight to the unbound owner
+  fabric->send(a, b, "t.to_b", 0, 10);  // in flight from it
+  fabric->unbind(a);
+  sim.run();
+  EXPECT_EQ(a_fired, 0);  // plain and daemon timers died with the binding
+  EXPECT_EQ(b_fired, 2);
+  EXPECT_TRUE(ra.received.empty());
+  ASSERT_EQ(rb.received.size(), 1u);
+  EXPECT_EQ(rb.received[0].type, "t.to_b");
+  EXPECT_EQ(fabric->counters().get("msg.dropped.unbound"), 1u);
+}
+
+TEST_F(Fixture, CancelledTimerNoLongerHoldsRunOpen) {
+  Recorder ra;
+  fabric->bind(a, ra);
+  int fired = 0;
+  fabric->schedule(a, 10'000, [&] { ++fired; });
+  fabric->unbind(a);
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.now(), 0);
+}
+
+TEST_F(Fixture, RebindDoesNotInheritTimers) {
+  Recorder first, second;
+  std::vector<int> fired;
+  fabric->bind(a, first);
+  fabric->schedule(a, 500, [&] { fired.push_back(1); });
+  fabric->schedule_daemon(a, 100, [&] { fired.push_back(1); });
+  fabric->unbind(a);
+  fabric->bind(a, second);
+  fabric->schedule(a, 600, [&] { fired.push_back(2); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  EXPECT_EQ(sim.now(), 600);
+}
+
 TEST_F(Fixture, TraceRecorderCapturesDeliveries) {
   Recorder rb;
   fabric->bind(b, rb);

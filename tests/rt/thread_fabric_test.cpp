@@ -99,6 +99,32 @@ TEST(ThreadFabricTest, TimersFireAndCancel) {
   EXPECT_EQ(fired.load(), 1);
 }
 
+TEST(ThreadFabricTest, UnbindCancelsOwnersTimersAndRebindStartsClean) {
+  ThreadFabric fabric;
+  CountingEndpoint first, second, other;
+  const net::Address addr{0, 1};
+  const net::Address other_addr{0, 2};
+  fabric.bind(addr, first);
+  fabric.bind(other_addr, other);
+  std::atomic<int> old_fired{0};
+  std::atomic<int> new_fired{0};
+  std::atomic<int> other_fired{0};
+  fabric.schedule(addr, sim::msec(20), [&] { ++old_fired; });
+  fabric.schedule_daemon(addr, sim::msec(20), [&] { ++old_fired; });
+  fabric.schedule(other_addr, sim::msec(20), [&] { ++other_fired; });
+  fabric.schedule_daemon(other_addr, sim::msec(20), [&] { ++other_fired; });
+  fabric.send(addr, other_addr, "t.from_unbound", 0, 8);
+  fabric.unbind(addr);
+  fabric.bind(addr, second);
+  fabric.schedule(addr, sim::msec(20), [&] { ++new_fired; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  fabric.drain();
+  EXPECT_EQ(old_fired.load(), 0);  // plain and daemon died with the binding
+  EXPECT_EQ(new_fired.load(), 1);
+  EXPECT_EQ(other_fired.load(), 2);  // other owners are untouched
+  EXPECT_EQ(other.count.load(), 1);  // messages are not timers
+}
+
 TEST(ThreadFabricTest, NowIsMonotonic) {
   ThreadFabric fabric;
   const auto t0 = fabric.now();

@@ -154,18 +154,5 @@ TEST(CounterSetTest, ToStringSortedByName) {
   EXPECT_EQ(c.to_string(), "alpha=2\nzeta=1\n");
 }
 
-TEST(TimeSeriesTest, RecordsAndSummarizes) {
-  TimeSeries ts;
-  ts.add(10, 1.0);
-  ts.add(20, 3.0);
-  ts.add(30, 5.0);
-  EXPECT_EQ(ts.size(), 3u);
-  EXPECT_EQ(ts.at(1).at, 20);
-  EXPECT_DOUBLE_EQ(ts.at(1).value, 3.0);
-  const auto stat = ts.summarize();
-  EXPECT_DOUBLE_EQ(stat.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(stat.max(), 5.0);
-}
-
 }  // namespace
 }  // namespace flecc::sim
