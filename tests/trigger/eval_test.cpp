@@ -144,6 +144,13 @@ struct EvalCase {
   double expected;
 };
 
+// Without this, gtest prints the case as raw bytes, which include the
+// address of `src`; ctest names the tests after that value, so every build
+// would get different test names.
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  *os << c.src << ", x=" << c.x;
+}
+
 class EvalSweepTest : public ::testing::TestWithParam<EvalCase> {};
 
 TEST_P(EvalSweepTest, Evaluates) {
