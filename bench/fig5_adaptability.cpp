@@ -43,8 +43,8 @@ int main() {
   opts.n_agents = kAgents;
   opts.group_size = kAgents;  // all conflicting
   opts.capacity = 1 << 20;
-  opts.mode = core::Mode::kWeak;
-  opts.think_time = sim::msec(2);  // the method does some work
+  opts.agent_cfg.mode = core::Mode::kWeak;
+  opts.agent_cfg.think_time = sim::msec(2);  // the method does some work
   FleccTestbed tb(opts);
   tb.init_all_agents();
   const auto flight = tb.assignment().agent_flights[0][0];

@@ -14,7 +14,10 @@ headers they document:
    Config field in its defining header (and vice versa: the raw-speed
    Config fields all appear in PERFORMANCE.md), and every `batch.*` /
    `wbuf.*` counter emitted by the code is documented there.
-5. The overload-resilience knobs (flow control, admission control,
+5. Every field of CacheManager::Config is declared only there: the
+   headers that configure cache managers (testbed.hpp, travel_agent.hpp,
+   psf_glue.hpp) must not redeclare one (same name and type).
+6. The overload-resilience knobs (flow control, admission control,
    circuit breaker) appear in PROTOCOL.md ("Flow control & overload"),
    and every `flow.*` / `shed.*` / `breaker.*` counter emitted by the
    code appears in OBSERVABILITY.md ("Flow control counter families").
@@ -124,9 +127,7 @@ def main() -> int:
          ["pool_messages", "write_buffer_ops", "piggyback_heartbeats"]),
         ("src/core/directory_manager.hpp", ["pool_messages"]),
         ("src/net/batch_fabric.hpp", ["batch_window", "max_batch"]),
-        ("src/airline/testbed.hpp",
-         ["batch_fabric", "pool_messages", "write_buffer_ops",
-          "piggyback_heartbeats"]),
+        ("src/airline/testbed.hpp", ["batch_fabric"]),
     ]
     for rel, fields in knobs:
         header = (REPO / rel).read_text()
@@ -137,6 +138,36 @@ def main() -> int:
             if f"`{field}`" not in performance:
                 errors.append(f"{rel}: knob '{field}' is not documented in "
                               "PERFORMANCE.md")
+
+    # One cache-manager config: every CM knob is declared once, in
+    # CacheManager::Config. The layers that build cache managers derive
+    # from or embed that struct and must not redeclare its fields. A
+    # field counts as redeclared when its name and its type (namespace
+    # qualifiers aside) match; TestbedOptions::trace, a TraceRecorder*
+    # beside the CM's TraceBuffer*, is a different field.
+    field_re = re.compile(r"^\s*([\w:<>,()* ]+?[\s*&]+)(\w+)\s*(=|\{|;)")
+
+    def field_key(m: re.Match) -> tuple[str, str]:
+        type_ = re.sub(r"\b\w+::", "", m.group(1)).replace(" ", "")
+        return type_, m.group(2)
+
+    cm_hpp = (REPO / "src/core/cache_manager.hpp").read_text()
+    cm_block = re.search(r"\n  struct Config \{\n(.*?)\n  \};", cm_hpp,
+                         re.DOTALL)
+    if not cm_block:
+        errors.append("src/core/cache_manager.hpp: cannot find "
+                      "CacheManager::Config")
+    else:
+        cm_fields = {field_key(m) for m in map(
+            field_re.match, cm_block.group(1).splitlines()) if m}
+        for rel in ["src/airline/testbed.hpp", "src/airline/travel_agent.hpp",
+                    "src/airline/psf_glue.hpp"]:
+            for i, line in enumerate((REPO / rel).read_text().splitlines()):
+                m = field_re.match(line)
+                if m and field_key(m) in cm_fields:
+                    errors.append(
+                        f"{rel}:{i + 1}: cache-manager knob '{m.group(2)}' "
+                        "redeclared; set it through CacheManager::Config")
 
     # Counter families: everything the code emits under batch.* / wbuf.*
     # must be documented (OBSERVABILITY.md documents the families too,

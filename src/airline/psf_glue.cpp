@@ -27,14 +27,9 @@ void register_travel_agent_factory(psf::Deployer& deployer,
       "air.TravelAgent",
       [&fabric, options, next_port](net::NodeId node)
           -> std::unique_ptr<psf::ComponentInstance> {
-        TravelAgent::Config cfg;
-        cfg.flights = options.flights;
-        cfg.mode = options.mode;
-        cfg.push_trigger = options.push_trigger;
-        cfg.pull_trigger = options.pull_trigger;
-        cfg.validity_trigger = options.validity_trigger;
         return std::make_unique<TravelAgentInstance>(
-            fabric, node, (*next_port)++, options.directory, std::move(cfg));
+            fabric, node, (*next_port)++, options.directory,
+            options.agent_cfg);
       });
 }
 

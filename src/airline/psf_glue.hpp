@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "airline/travel_agent.hpp"
 #include "psf/deployer.hpp"
@@ -37,14 +36,11 @@ class TravelAgentInstance : public psf::ComponentInstance {
 /// Factory configuration for travel-agent placements.
 struct TravelAgentFactoryOptions {
   net::Address directory;
-  std::vector<FlightNumber> flights;
-  core::Mode mode = core::Mode::kWeak;
-  std::string push_trigger;
-  std::string pull_trigger;
-  std::string validity_trigger;
   /// Port assigned to the first instance; subsequent instances on any
   /// node get consecutive ports (so several agents may share a node).
   net::PortId first_port = 100;
+  /// Configuration every instance is created with.
+  TravelAgent::Config agent_cfg{};
 };
 
 /// Register a factory for component type "air.TravelAgent" (the name

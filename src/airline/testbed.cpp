@@ -42,6 +42,29 @@ FlightDatabase make_db(const GroupAssignment& assignment,
       base, assignment.flight_count, capacity);
 }
 
+// The role buffers every deployment shares: the fabric's drop events
+// and the directory's protocol events.
+void trace_shared_roles(obs::TraceRecorder& trace, net::SimFabric& fabric,
+                        core::DirectoryManager::Config& dir_cfg) {
+  fabric.set_trace_buffer(trace.make_buffer("fabric", kFabricTraceCapacity));
+  dir_cfg.trace = trace.make_buffer("dm", kDirTraceCapacity);
+}
+
+// Self-rescheduling event calling hub.tick() every hub interval. It is
+// a daemon: the sampler must not keep run() alive once the protocol
+// goes idle, and a pure read of protocol state cannot perturb the event
+// order either way — that is the telemetry-never-perturbs guarantee.
+void schedule_telemetry_tick(sim::Simulator& sim, obs::TelemetryHub& hub) {
+  sim::Duration interval = hub.options().interval;
+  if (interval <= 0) interval = sim::msec(250);
+  sim.schedule_after(interval,
+                     [&sim, &hub] {
+                       hub.tick(sim.now());
+                       schedule_telemetry_tick(sim, hub);
+                     },
+                     /*daemon=*/true);
+}
+
 }  // namespace
 
 // ---- FleccTestbed -----------------------------------------------------------
@@ -65,9 +88,7 @@ FleccTestbed::FleccTestbed(TestbedOptions opts)
   adapter_ = std::make_unique<FlightDatabaseAdapter>(db_);
 
   if (opts_.trace != nullptr) {
-    fabric_->set_trace_buffer(
-        opts_.trace->make_buffer("fabric", kFabricTraceCapacity));
-    opts_.dir_cfg.trace = opts_.trace->make_buffer("dm", kDirTraceCapacity);
+    trace_shared_roles(*opts_.trace, *fabric_, opts_.dir_cfg);
   }
 
   if (opts_.durable_directory && opts_.dir_cfg.durability == nullptr) {
@@ -75,7 +96,6 @@ FleccTestbed::FleccTestbed(TestbedOptions opts)
         opts_.checkpoint_flush_every);
     opts_.dir_cfg.durability = durability_.get();
   }
-  opts_.dir_cfg.pool_messages = opts_.pool_messages;
 
   dir_addr_ = net::Address{hosts_.back(), kServicePort};
   const net::Address dir_addr = dir_addr_;
@@ -87,8 +107,7 @@ FleccTestbed::FleccTestbed(TestbedOptions opts)
     cm_journal_stores_.reserve(opts_.n_agents);
     for (std::size_t i = 0; i < opts_.n_agents; ++i) {
       cm_journal_stores_.push_back(
-          std::make_unique<core::MemoryDurabilityStore>(
-              opts_.cm_journal_flush_every));
+          std::make_unique<core::MemoryDurabilityStore>());
     }
   }
   for (std::size_t i = 0; i < opts_.n_agents; ++i) {
@@ -102,31 +121,16 @@ FleccTestbed::FleccTestbed(TestbedOptions opts)
 
   if (opts_.telemetry != nullptr) {
     wire_telemetry();
-    schedule_telemetry_tick();
+    schedule_telemetry_tick(sim_, *opts_.telemetry);
   }
 }
 
 TravelAgent::Config FleccTestbed::agent_config(std::size_t i) {
-  TravelAgent::Config cfg;
+  TravelAgent::Config cfg = opts_.agent_cfg;
+  cfg.flights = assignment_.agent_flights[i];
   if (opts_.trace != nullptr) {
     cfg.trace = opts_.trace->make_buffer("cm." + std::to_string(i));
   }
-  cfg.flights = assignment_.agent_flights[i];
-  cfg.mode = opts_.mode;
-  cfg.push_trigger = opts_.push_trigger;
-  cfg.pull_trigger = opts_.pull_trigger;
-  cfg.validity_trigger = opts_.validity_trigger;
-  cfg.think_time = opts_.think_time;
-  cfg.trigger_poll = opts_.trigger_poll;
-  cfg.retry = opts_.retry;
-  cfg.heartbeat_interval = opts_.heartbeat_interval;
-  cfg.heartbeat_miss_limit = opts_.heartbeat_miss_limit;
-  cfg.pool_messages = opts_.pool_messages;
-  cfg.write_buffer_ops = opts_.write_buffer_ops;
-  cfg.piggyback_heartbeats = opts_.piggyback_heartbeats;
-  cfg.breaker_threshold = opts_.breaker_threshold;
-  cfg.breaker_open_timeout = opts_.breaker_open_timeout;
-  cfg.degrade_on_overload = opts_.degrade_on_overload;
   if (!cm_journal_stores_.empty()) {
     cfg.journal = cm_journal_stores_[i].get();
   }
@@ -214,21 +218,6 @@ void FleccTestbed::wire_telemetry() {
   });
 }
 
-void FleccTestbed::schedule_telemetry_tick() {
-  sim::Duration interval = opts_.telemetry->options().interval;
-  if (interval <= 0) interval = sim::msec(250);
-  // Daemon: the sampler must not keep run() alive once the protocol
-  // goes idle, and a pure read of protocol state cannot perturb the
-  // event order either way — that is the telemetry-never-perturbs
-  // guarantee.
-  sim_.schedule_after(interval,
-                      [this] {
-                        opts_.telemetry->tick(sim_.now());
-                        schedule_telemetry_tick();
-                      },
-                      /*daemon=*/true);
-}
-
 void FleccTestbed::init_all_agents() {
   for (auto& agent : agents_) agent->init();
   sim_.run();
@@ -276,8 +265,7 @@ TravelAgent& FleccTestbed::spawn_destination(std::size_t src,
   }
   cfg.await_migration = true;
   if (opts_.cm_journal) {
-    spare_journals_[spare] = std::make_unique<core::MemoryDurabilityStore>(
-        opts_.cm_journal_flush_every);
+    spare_journals_[spare] = std::make_unique<core::MemoryDurabilityStore>();
     cfg.journal = spare_journals_[spare].get();
   } else {
     cfg.journal = nullptr;
@@ -364,11 +352,8 @@ CoherenceTestbed::CoherenceTestbed(Protocol protocol, TestbedOptions opts)
   adapter_ = std::make_unique<FlightDatabaseAdapter>(db_);
 
   if (opts_.trace != nullptr) {
-    fabric_->set_trace_buffer(
-        opts_.trace->make_buffer("fabric", kFabricTraceCapacity));
-    opts_.dir_cfg.trace = opts_.trace->make_buffer("dm", kDirTraceCapacity);
+    trace_shared_roles(*opts_.trace, *fabric_, opts_.dir_cfg);
   }
-  opts_.dir_cfg.pool_messages = opts_.pool_messages;
 
   const net::Address coord_addr{hosts.back(), kServicePort};
   switch (protocol_) {
@@ -392,23 +377,8 @@ CoherenceTestbed::CoherenceTestbed(Protocol protocol, TestbedOptions opts)
     const net::Address addr{hosts[i], kServicePort};
     switch (protocol_) {
       case Protocol::kFlecc: {
-        core::CacheManager::Config cfg;
-        cfg.view_name = "air.TravelAgent";
+        core::CacheManager::Config cfg = opts_.agent_cfg;
         cfg.properties = view->properties();
-        cfg.mode = opts_.mode;
-        cfg.push_trigger = opts_.push_trigger;
-        cfg.pull_trigger = opts_.pull_trigger;
-        cfg.validity_trigger = opts_.validity_trigger;
-        cfg.trigger_poll = opts_.trigger_poll;
-        cfg.retry = opts_.retry;
-        cfg.heartbeat_interval = opts_.heartbeat_interval;
-        cfg.heartbeat_miss_limit = opts_.heartbeat_miss_limit;
-        cfg.pool_messages = opts_.pool_messages;
-        cfg.write_buffer_ops = opts_.write_buffer_ops;
-        cfg.piggyback_heartbeats = opts_.piggyback_heartbeats;
-        cfg.breaker_threshold = opts_.breaker_threshold;
-        cfg.breaker_open_timeout = opts_.breaker_open_timeout;
-        cfg.degrade_on_overload = opts_.degrade_on_overload;
         if (opts_.trace != nullptr) {
           cfg.trace = opts_.trace->make_buffer("cm." + std::to_string(i));
         }
@@ -432,7 +402,7 @@ CoherenceTestbed::CoherenceTestbed(Protocol protocol, TestbedOptions opts)
 
   if (opts_.telemetry != nullptr) {
     wire_telemetry();
-    schedule_telemetry_tick();
+    schedule_telemetry_tick(sim_, *opts_.telemetry);
   }
 }
 
@@ -467,17 +437,6 @@ void CoherenceTestbed::wire_telemetry() {
     f.counter("airline.db.rejected_seats",
               static_cast<double>(db_.rejected_seats()));
   });
-}
-
-void CoherenceTestbed::schedule_telemetry_tick() {
-  sim::Duration interval = opts_.telemetry->options().interval;
-  if (interval <= 0) interval = sim::msec(250);
-  sim_.schedule_after(interval,
-                      [this] {
-                        opts_.telemetry->tick(sim_.now());
-                        schedule_telemetry_tick();
-                      },
-                      /*daemon=*/true);
 }
 
 void CoherenceTestbed::connect_all() {

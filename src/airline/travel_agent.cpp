@@ -7,39 +7,20 @@
 namespace flecc::airline {
 
 namespace {
-core::CacheManager::Config make_cm_config(const TravelAgent::Config& cfg,
-                                          const TravelAgentView& view) {
-  core::CacheManager::Config out;
-  out.view_name = cfg.name;
-  out.properties = view.properties();
-  out.mode = cfg.mode;
-  out.push_trigger = cfg.push_trigger;
-  out.pull_trigger = cfg.pull_trigger;
-  out.validity_trigger = cfg.validity_trigger;
-  out.trigger_poll = cfg.trigger_poll;
-  out.retry = cfg.retry;
-  out.heartbeat_interval = cfg.heartbeat_interval;
-  out.heartbeat_miss_limit = cfg.heartbeat_miss_limit;
-  out.pool_messages = cfg.pool_messages;
-  out.write_buffer_ops = cfg.write_buffer_ops;
-  out.piggyback_heartbeats = cfg.piggyback_heartbeats;
-  out.breaker_threshold = cfg.breaker_threshold;
-  out.breaker_open_timeout = cfg.breaker_open_timeout;
-  out.degrade_on_overload = cfg.degrade_on_overload;
-  out.trace = cfg.trace;
-  out.journal = cfg.journal;
-  out.await_migration = cfg.await_migration;
-  out.on_moved = cfg.on_moved;
-  return out;
+core::CacheManager::Config with_properties(TravelAgent::Config&& cfg,
+                                           const TravelAgentView& view) {
+  cfg.properties = view.properties();
+  return std::move(cfg);
 }
 }  // namespace
 
 TravelAgent::TravelAgent(net::Fabric& fabric, net::Address self,
                          net::Address directory, Config cfg)
     : fabric_(fabric),
-      cfg_(std::move(cfg)),
-      view_(cfg_.flights),
-      cm_(fabric, self, directory, view_, make_cm_config(cfg_, view_)) {}
+      think_time_(cfg.think_time),
+      view_(std::move(cfg.flights)),
+      cm_(fabric, self, directory, view_,
+          with_properties(std::move(cfg), view_)) {}
 
 void TravelAgent::init(Done done) { cm_.init_image(std::move(done)); }
 
@@ -60,8 +41,8 @@ void TravelAgent::reserve_once(FlightNumber flight, std::int64_t seats,
         ++ops_completed_;
         if (done) done();
       };
-      if (cfg_.think_time > 0) {
-        fabric_.schedule(cm_.address(), cfg_.think_time, std::move(finish));
+      if (think_time_ > 0) {
+        fabric_.schedule(cm_.address(), think_time_, std::move(finish));
       } else {
         finish();
       }

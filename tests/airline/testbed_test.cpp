@@ -22,7 +22,7 @@ TEST(FleccTestbedTest, ReservationLoopPropagatesToDatabase) {
   TestbedOptions opts;
   opts.n_agents = 2;
   opts.group_size = 2;
-  opts.validity_trigger = "false";  // always fetch freshest
+  opts.agent_cfg.validity_trigger = "false";  // always fetch freshest
   FleccTestbed tb(opts);
   tb.init_all_agents();
   const FlightNumber flight = tb.assignment().agent_flights[0][0];
@@ -59,10 +59,10 @@ TEST(FleccTestbedTest, DirectoryCrashRestartConvergesReservations) {
   opts.group_size = 2;
   opts.durable_directory = true;
   opts.checkpoint_flush_every = 4;  // crash eats an unflushed WAL tail
-  opts.heartbeat_interval = sim::msec(200);
-  opts.retry.base_timeout = sim::msec(100);
-  opts.retry.max_timeout = sim::msec(500);
-  opts.retry.max_attempts = 10;
+  opts.agent_cfg.heartbeat_interval = sim::msec(200);
+  opts.agent_cfg.retry.base_timeout = sim::msec(100);
+  opts.agent_cfg.retry.max_timeout = sim::msec(500);
+  opts.agent_cfg.retry.max_attempts = 10;
   FleccTestbed tb(opts);
   ASSERT_NE(tb.durability(), nullptr);
   tb.init_all_agents();
@@ -102,11 +102,11 @@ TEST(FleccTestbedTest, DirectoryCrashCancelsItsPullTimers) {
   TestbedOptions opts;
   opts.n_agents = 2;
   opts.group_size = 2;
-  opts.validity_trigger = "false";  // every op pulls
+  opts.agent_cfg.validity_trigger = "false";  // every op pulls
   opts.durable_directory = true;
-  opts.retry.base_timeout = sim::msec(100);
-  opts.retry.max_timeout = sim::msec(500);
-  opts.retry.max_attempts = 10;
+  opts.agent_cfg.retry.base_timeout = sim::msec(100);
+  opts.agent_cfg.retry.max_timeout = sim::msec(500);
+  opts.agent_cfg.retry.max_attempts = 10;
   FleccTestbed tb(opts);
   tb.init_all_agents();
   tb.crash_agent(1);  // never answers a fetch: the pull stays open
@@ -133,7 +133,7 @@ TEST(FleccTestbedTest, HaltMidThinkNeverCompletesTheOp) {
   TestbedOptions opts;
   opts.n_agents = 1;
   opts.group_size = 1;
-  opts.think_time = sim::msec(300);
+  opts.agent_cfg.think_time = sim::msec(300);
   FleccTestbed tb(opts);
   tb.init_all_agents();
   bool done = false;

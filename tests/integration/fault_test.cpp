@@ -2,6 +2,8 @@
 // straggler handling across the protocol stack.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "airline/testbed.hpp"
 #include "core/directory_manager.hpp"
 
@@ -12,7 +14,7 @@ TEST(FaultTest, CrashedAgentDoesNotWedgeDemandFetch) {
   TestbedOptions opts;
   opts.n_agents = 3;
   opts.group_size = 3;
-  opts.validity_trigger = "false";
+  opts.agent_cfg.validity_trigger = "false";
   opts.dir_cfg.fetch_timeout = sim::msec(100);
   FleccTestbed tb(opts);
   tb.init_all_agents();
@@ -32,7 +34,7 @@ TEST(FaultTest, CrashedOwnerDoesNotWedgeStrongAcquire) {
   TestbedOptions opts;
   opts.n_agents = 2;
   opts.group_size = 2;
-  opts.mode = core::Mode::kStrong;
+  opts.agent_cfg.mode = core::Mode::kStrong;
   opts.dir_cfg.fetch_timeout = sim::msec(100);
   FleccTestbed tb(opts);
 
@@ -57,7 +59,7 @@ TEST(FaultTest, GracefulKillDuringFetchRoundSettlesIt) {
   TestbedOptions opts;
   opts.n_agents = 3;
   opts.group_size = 3;
-  opts.validity_trigger = "false";
+  opts.agent_cfg.validity_trigger = "false";
   // Long timeout: if the kill did not settle the round, the test's pull
   // would only complete after 10 simulated seconds.
   opts.dir_cfg.fetch_timeout = sim::seconds(10);
@@ -214,6 +216,13 @@ struct LossCase {
   core::Mode mode;
 };
 
+// Without this, gtest prints the case as raw bytes, which include the
+// struct's uninitialised padding; ctest names the tests after that value,
+// so the names would differ from build to build.
+void PrintTo(const LossCase& c, std::ostream* os) {
+  *os << "loss=" << c.loss << ", " << core::to_string(c.mode);
+}
+
 class LossyAirlineTest : public ::testing::TestWithParam<LossCase> {};
 
 TEST_P(LossyAirlineTest, AllOpsCompleteAndDatabaseIsExact) {
@@ -222,7 +231,7 @@ TEST_P(LossyAirlineTest, AllOpsCompleteAndDatabaseIsExact) {
   opts.n_agents = 4;
   opts.group_size = 4;
   opts.capacity = 100000;
-  opts.mode = c.mode;
+  opts.agent_cfg.mode = c.mode;
   opts.fabric_cfg.loss_probability = c.loss;
   opts.fabric_cfg.seed = 0xf1ecc;
   FleccTestbed tb(opts);

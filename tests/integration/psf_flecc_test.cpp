@@ -60,8 +60,8 @@ TEST(PsfFleccIntegration, PlannedViewIsDeployedAliveAndCoherent) {
   psf::Deployer deployer;
   TravelAgentFactoryOptions opts;
   opts.directory = dir_addr;
-  opts.flights = {100, 101, 102, 103, 104};
-  opts.validity_trigger = "false";
+  opts.agent_cfg.flights = {100, 101, 102, 103, 104};
+  opts.agent_cfg.validity_trigger = "false";
   register_travel_agent_factory(deployer, fabric, opts);
 
   auto deployment = deployer.deploy(*plan);
@@ -116,7 +116,7 @@ TEST(PsfFleccIntegration, MultipleAgentsShareANodeViaPortAllocation) {
   psf::Deployer deployer;
   TravelAgentFactoryOptions opts;
   opts.directory = dir_addr;
-  opts.flights = {100};
+  opts.agent_cfg.flights = {100};
   register_travel_agent_factory(deployer, fabric, opts);
 
   // Two placements on the same client node must not collide.
